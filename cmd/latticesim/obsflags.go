@@ -80,7 +80,7 @@ func (f *obsFlags) open() (*obsSinks, error) {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go http.Serve(ln, mux)
+		go newHTTPServer(mux).Serve(ln)
 	}
 	return s, nil
 }

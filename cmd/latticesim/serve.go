@@ -14,6 +14,17 @@ import (
 	"latticesim/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers. Without it, one slow or stalled client holds a
+// connection (and its goroutine) open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the server every listener of this command uses:
+// h behind the header timeout.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // runServe implements the `latticesim serve` subcommand: start the
 // simulation service and serve its HTTP API until SIGINT/SIGTERM.
 func runServe(args []string) error {
@@ -100,7 +111,7 @@ Flags:`)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := newHTTPServer(svc.Handler())
 	if !*quiet {
 		store := *data
 		if store == "" {

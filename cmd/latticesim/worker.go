@@ -85,7 +85,7 @@ Flags:`)
 			w.WriteHeader(http.StatusOK)
 			w.Write([]byte("ok\n"))
 		})
-		go http.Serve(ln, mux)
+		go newHTTPServer(mux).Serve(ln)
 	}
 
 	w, err := worker.New(worker.Options{

@@ -1,6 +1,6 @@
 package frame
 
-// The sampler equivalence properties (interpreted vs compiled vs wide)
+// The sampler equivalence property (interpreted vs compiled)
 // now live in the shared differential harness — see
 // internal/testutil/diffharness and diff_test.go in this package's
 // external test suite. This file keeps the plan-structure and scratch

@@ -3,8 +3,8 @@ package mc
 // Equivalence tests for the entry points the differential harness does
 // not reach: RunProfile, RoundWeights, custom-decoder runs and
 // hand-built pipelines must return exactly the same values on the
-// default path as on the interpreted dense path, for fixed (circuit,
-// shots, seed, workers). The Run/RunFrom four-path equivalence lives in
+// production path as on the nil-Plan interpreted reference, for fixed
+// (circuit, shots, seed, workers). The Run/RunFrom equivalence lives in
 // diff_test.go (external package, via internal/testutil/diffharness).
 
 import (
@@ -16,12 +16,10 @@ import (
 	"latticesim/internal/surface"
 )
 
-// interpretedClone returns a copy of the pipeline forced onto the
-// uncompiled dense path.
+// interpretedClone returns the pipeline's nil-Plan reference copy.
 func interpretedClone(p *Pipeline) *Pipeline {
 	q := *p
 	q.Plan = nil
-	q.Path = PathInterpreted
 	return &q
 }
 
@@ -80,9 +78,10 @@ func TestCompiledPipelineMatchesInterpretedHierarchical(t *testing.T) {
 	}
 }
 
-// TestHandBuiltPipelineCompilesOnDemand: pipelines assembled by hand
-// (nil Plan) still run the compiled path, identically.
-func TestHandBuiltPipelineCompilesOnDemand(t *testing.T) {
+// TestNilPlanPipelineMatchesNewPipeline: a pipeline assembled by hand
+// with no Plan runs the interpreted reference with bare union-find, and
+// must return exactly what NewPipeline's production path returns.
+func TestNilPlanPipelineMatchesNewPipeline(t *testing.T) {
 	const shots, seed = 5000, 3
 	pl := buildTestPipeline(t, 3)
 	bare := &Pipeline{Circuit: pl.Circuit, Model: pl.Model, Graph: pl.Graph} // no Plan

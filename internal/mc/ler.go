@@ -11,11 +11,14 @@
 // (seed, shard index); shard tallies are folded in shard order, so
 // Pipeline.Run output is a pure function of (circuit, shots, seed).
 //
-// The inner loop runs on the compiled hot path (DESIGN.md §9): workers
-// sample through a shared frame.Plan, extract syndromes sparsely with a
-// per-worker frame.Extractor, and skip decoding entirely for batches in
-// which no detector fired. All of it is bit-identical to the interpreted
-// dense path.
+// There is one production shot loop (DESIGN.md §9, §13): workers sample
+// 64-shot batches through a shared compiled frame.Plan, extract syndromes
+// sparsely with a per-worker frame.Extractor, skip decoding entirely for
+// batches in which no detector fired, and decode the rest shot by shot —
+// through the predecoder in front of union-find when NewPipeline built
+// its tables. A Pipeline with a nil Plan runs the same loop on the
+// interpreted sampler with bare union-find: the reference the
+// differential harness holds the production path to, bit for bit.
 package mc
 
 import (
@@ -95,11 +98,14 @@ type Pipeline struct {
 	Model   *dem.Model
 	Graph   *decoder.Graph
 
-	// Plan is the compiled sampler execution plan for Circuit. NewPipeline
-	// fills it; the Run* entry points compile one per run when it is nil
-	// (hand-built pipelines), so callers that loop should populate it —
-	// or go through NewPipeline — to compile exactly once. The plan is
-	// immutable and shared by every worker.
+	// Plan is the compiled sampler execution plan for Circuit, immutable
+	// and shared by every worker. It is also the pipeline's only path
+	// selector. NewPipeline always fills it, together with the predecoder
+	// tables, and so runs the production path. A Pipeline whose Plan is
+	// nil runs the reference path instead: the interpreted
+	// frame.NewSampler over Circuit, with bare union-find behind the Run
+	// entry points. Both paths return bit-identical results; the
+	// differential harness in internal/testutil/diffharness enforces it.
 	Plan *frame.Plan
 
 	// Workers is the Monte Carlo worker-pool size used by Run,
@@ -131,12 +137,6 @@ type Pipeline struct {
 	// workers promptly (DESIGN.md §14).
 	Ctx context.Context
 
-	// Path selects the execution path. The zero value (PathAuto) is the
-	// fastest one; every path returns bit-identical results (the
-	// differential harness in internal/testutil/diffharness enforces
-	// this), so the others exist for equivalence testing and debugging.
-	Path Path
-
 	// Metrics, when non-nil, receives shard-granular instrumentation from
 	// the decode entry points: a shard wall-time histogram
 	// (latticesim_shard_duration_seconds) and, when the decoder stack
@@ -146,37 +146,11 @@ type Pipeline struct {
 	// run and results are bit-identical either way.
 	Metrics *obs.Registry
 
-	// pre holds the shared predecoder tables for PathAuto's decode stage.
-	// NewPipeline fills it; hand-built pipelines leave it nil and run
-	// PathAuto without the predecoder stage.
+	// pre holds the shared predecoder tables fronting union-find on the
+	// production path. NewPipeline fills it; it is unused when Plan is
+	// nil.
 	pre *decoder.Predecoder
 }
-
-// Path names a Monte Carlo execution path. All paths produce
-// bit-identical results for the same (circuit, shots, seed); they differ
-// only in speed.
-type Path int
-
-const (
-	// PathAuto (the default) runs the full hot path: wide-word sampling
-	// through the compiled plan, batched sparse extraction, and the
-	// predecoder stage in front of union-find (for the entry points that
-	// decode with union-find).
-	PathAuto Path = iota
-	// PathInterpreted forces the uncompiled circuit.Ops sampler and
-	// per-shot decoding: the reference path everything else must match.
-	PathInterpreted
-	// PathCompiled runs the narrow compiled sampler with per-shot
-	// decoding (the PR-3 hot path).
-	PathCompiled
-	// PathWide runs wide-word sampling and batched decoding without the
-	// predecoder stage.
-	PathWide
-)
-
-// usesWide reports whether the path samples through the wide-word group
-// loop.
-func (pt Path) usesWide() bool { return pt == PathAuto || pt == PathWide }
 
 // NewPipeline builds the full decode pipeline for a circuit, including
 // the compiled sampler plan shared by all workers.
@@ -195,54 +169,31 @@ func NewPipeline(c *circuit.Circuit) (*Pipeline, error) {
 	}, nil
 }
 
-// resolvePlan returns the compiled plan for the circuit, compiling one on
-// the spot for hand-built pipelines that left Plan nil. The plan is
-// immutable and shared read-only by every worker.
-func (p *Pipeline) resolvePlan() *frame.Plan {
-	if p.Plan != nil {
-		return p.Plan
-	}
-	return frame.Compile(p.Circuit)
-}
-
-// samplerFactory returns a constructor for per-worker narrow samplers
-// (the interpreted or compiled per-word path, per p.Path).
+// samplerFactory returns a constructor for per-worker samplers: the
+// compiled plan's, or the interpreted reference when Plan is nil.
 func (p *Pipeline) samplerFactory() func() *frame.Sampler {
-	if p.Path == PathInterpreted {
-		return func() *frame.Sampler { return frame.NewSampler(p.Circuit) }
+	if plan := p.Plan; plan != nil {
+		return plan.NewSampler
 	}
-	plan := p.resolvePlan()
-	return func() *frame.Sampler { return plan.NewSampler() }
+	return func() *frame.Sampler { return frame.NewSampler(p.Circuit) }
 }
 
 // lerState is the per-worker state of a decode run: a private sampler,
 // extractor and decoder, since none of them is safe for concurrent use.
-// Exactly one of sampler/wide is set, per the pipeline's Path.
 type lerState struct {
 	sampler *frame.Sampler
-	wide    *wideState
 	ext     *frame.Extractor
 	dec     decoder.Decoder
 	// cur tracks the last cumulative predecoder tally this worker folded
 	// into the pipeline's metric counters, so each shard contributes
-	// exactly its delta. A pointer member (like wide) because shard calls
-	// receive the state by value; nil when metrics are off.
+	// exactly its delta. A pointer member because shard calls receive the
+	// state by value; nil when metrics are off.
 	cur *preCursor
 }
 
 // preCursor is a worker's high-water mark of the cumulative
 // decoder.Statser tallies already published to the metric counters.
 type preCursor struct{ shots, hits int }
-
-// wideState is the per-worker scratch of the wide-word path: the group
-// sampler plus reusable buffers for the grouped sparse syndromes and the
-// batch predictions. A pointer member of lerState so buffer growth in one
-// shard carries over to the worker's next shard.
-type wideState struct {
-	s     *frame.WideSampler
-	sp    frame.SparseBatch
-	preds []uint64
-}
 
 // runLER shards the shot budget and decodes it on the worker pool, with
 // one decoder per worker supplied by newDec.
@@ -253,17 +204,9 @@ func (p *Pipeline) runLER(shots int, seed uint64, workers int, newDec func() dec
 // runLERShards decodes an explicit shard slice; progress reports shots
 // completed within the slice against the given total.
 func (p *Pipeline) runLERShards(plan []shard, total int, seed uint64, workers int, newDec func() decoder.Decoder) LERResult {
-	var newState func() lerState
-	if p.Path.usesWide() {
-		cplan := p.resolvePlan()
-		newState = func() lerState {
-			return lerState{wide: &wideState{s: cplan.NewWideSampler()}, ext: frame.NewExtractor(), dec: newDec()}
-		}
-	} else {
-		newSampler := p.samplerFactory()
-		newState = func() lerState {
-			return lerState{sampler: newSampler(), ext: frame.NewExtractor(), dec: newDec()}
-		}
+	newSampler := p.samplerFactory()
+	newState := func() lerState {
+		return lerState{sampler: newSampler(), ext: frame.NewExtractor(), dec: newDec()}
 	}
 	// Resolve metric handles once per run, outside the shard loop; the
 	// per-shard cost is then one histogram observation plus (at most)
@@ -293,12 +236,7 @@ func (p *Pipeline) runLERShards(plan []shard, total int, seed uint64, workers in
 			if shardDur != nil {
 				begin = time.Now()
 			}
-			var res LERResult
-			if st.wide != nil {
-				res = p.runShardLERWide(st, sh, seed)
-			} else {
-				res = p.runShardLER(st, sh, seed)
-			}
+			res := p.runShardLER(st, sh, seed)
 			if shardDur != nil {
 				shardDur.Observe(time.Since(begin).Seconds())
 				if ds, ok := st.dec.(decoder.Statser); ok {
@@ -367,78 +305,12 @@ func (p *Pipeline) runShardLER(st lerState, sh shard, seed uint64) LERResult {
 	return res
 }
 
-// runShardLERWide is runShardLER on the wide-word path: batches are
-// sampled in groups of up to frame.WideWords through one cache-blocked
-// pass over the plan, and non-clean batches cross into the decoder layer
-// whole, as grouped sparse syndromes (decoder.SyndromeBatch). The batch
-// schedule, RNG consumption, decode-call sequence and tallies are exactly
-// the narrow loop's, so the result is bit-identical for every decoder.
-func (p *Pipeline) runShardLERWide(st lerState, sh shard, seed uint64) LERResult {
-	rng := stats.NewRand(shardSeed(seed, sh.index))
-	res := LERResult{Errors: make([]int, p.Circuit.NumObservables())}
-	trivialEmpty := decoder.EmptySyndromeFree(st.dec)
-	bd, batched := st.dec.(decoder.BatchDecoder)
-	ws := st.wide
-	var counts [frame.WideWords]int
-	for done := 0; done < sh.shots; {
-		// Fill a group with the canonical 64, …, 64, remainder schedule.
-		ng := 0
-		for ng < frame.WideWords && done < sh.shots {
-			n := sh.shots - done
-			if n > 64 {
-				n = 64
-			}
-			counts[ng] = n
-			ng++
-			done += n
-		}
-		for _, b := range ws.s.SampleGroup(rng, counts[:ng]) {
-			res.Shots += b.Shots
-			if trivialEmpty && !b.AnyDetectorFired() {
-				mask := b.Mask()
-				for o, w := range b.Obs {
-					res.Errors[o] += bits.OnesCount64(w & mask)
-				}
-				continue
-			}
-			st.ext.Extract(b, &ws.sp)
-			sb := decoder.SyndromeBatch{Defects: ws.sp.Defects, Off: ws.sp.Off}
-			if cap(ws.preds) < b.Shots {
-				ws.preds = make([]uint64, 64)
-			}
-			preds := ws.preds[:b.Shots]
-			if batched {
-				bd.DecodeBatch(&sb, preds)
-			} else {
-				for i := range preds {
-					defects := sb.Shot(i)
-					if len(defects) == 0 && trivialEmpty {
-						preds[i] = 0
-						continue
-					}
-					preds[i] = st.dec.Decode(defects)
-				}
-			}
-			for i := range preds {
-				res.DetectorFires += int(sb.Off[i+1] - sb.Off[i])
-				miss := preds[i] ^ ws.sp.ObsMask[i]
-				for miss != 0 {
-					o := bits.TrailingZeros64(miss)
-					res.Errors[o]++
-					miss &^= 1 << uint(o)
-				}
-			}
-		}
-	}
-	return res
-}
-
 // ufFactory returns the per-worker decoder constructor for the
-// union-find entry points (Run, RunFrom): on PathAuto with predecoder
-// tables available, each worker's union-find is fronted by the
-// predecoder stage; every other path gets the bare union-find.
+// union-find entry points (Run, RunFrom): on the production path each
+// worker's union-find is fronted by the predecoder stage; the nil-Plan
+// reference gets the bare union-find.
 func (p *Pipeline) ufFactory() func() decoder.Decoder {
-	if p.Path == PathAuto && p.pre != nil {
+	if p.Plan != nil && p.pre != nil {
 		pre := p.pre
 		g := p.Graph
 		return func() decoder.Decoder {

@@ -55,12 +55,6 @@ type errorEnvelope struct {
 	Error APIError `json:"error"`
 }
 
-// legacyEnvelope is the pre-envelope error body ({"error": "message"}),
-// still decoded by the client for one schema version (API.md).
-type legacyEnvelope struct {
-	Error string `json:"error"`
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

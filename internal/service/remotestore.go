@@ -44,16 +44,12 @@ func (s *RemoteStore) client() *http.Client {
 }
 
 // remoteAPIError decodes an error response body into a message,
-// preferring the envelope (and tolerating the legacy string form).
+// preferring the envelope and falling back to the raw text.
 func remoteAPIError(resp *http.Response) (code, msg string) {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var env errorEnvelope
 	if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
 		return env.Error.Code, env.Error.Message
-	}
-	var legacy legacyEnvelope
-	if json.Unmarshal(body, &legacy) == nil && legacy.Error != "" {
-		return "", legacy.Error
 	}
 	return "", string(bytes.TrimSpace(body))
 }

@@ -1,23 +1,24 @@
 // Package diffharness is the shared differential correctness harness for
 // the simulator's execution paths (DESIGN.md §13). Every optimization of
-// the hot loop — plan compilation, wide-word sampling, sparse batch
-// extraction, the predecoder stage — is required to be bit-identical to
-// the interpreted reference, and this package is where that requirement
-// is enforced: it generates randomized circuits, runs the same schedule
-// through every path, and reports the *first* divergence precisely (the
-// diverging batch, word, shot lane and the compiled-plan instruction that
-// computed it) so a regression points at the instruction to debug rather
-// than at a failed DeepEqual.
+// the hot loop — plan compilation, sparse extraction, the predecoder
+// stage — is required to be bit-identical to the interpreted reference,
+// and this package is where that requirement is enforced: it generates
+// randomized circuits, runs the same schedule through both paths, and
+// reports the *first* divergence precisely (the diverging batch, word,
+// shot lane and the compiled-plan instruction that computed it) so a
+// regression points at the instruction to debug rather than at a failed
+// DeepEqual.
 //
 // Two comparison layers match the two layers of the pipeline:
 //
-//   - CompareSamplers checks the frame layer: interpreted, compiled and
-//     wide samplers must emit byte-equal Det/Obs words for the same RNG
-//     seed over an arbitrary batch schedule.
-//   - ComparePipelines checks the Monte Carlo layer end to end: the four
-//     mc.Path execution paths must return identical LERResult tallies for
-//     every (seed, workers) combination, and RunFrom increments covering
-//     the budget must merge to exactly the single-call result.
+//   - CompareSamplers checks the frame layer: the interpreted and
+//     compiled samplers must emit byte-equal Det/Obs words for the same
+//     RNG seed over an arbitrary batch schedule.
+//   - ComparePipelines checks the Monte Carlo layer end to end: a
+//     pipeline built by mc.NewPipeline and its nil-Plan reference copy
+//     must return identical LERResult tallies for every (seed, workers)
+//     combination, and RunFrom increments covering the budget must merge
+//     to exactly the single-call result.
 //
 // The harness is used from the frame and mc test suites and from CI's
 // randomized differential job (make diff / make diff-long).
@@ -185,87 +186,30 @@ type Words struct {
 	Obs [][]uint64
 }
 
-// SamplerPath names one frame-layer sampling implementation.
-type SamplerPath int
-
-const (
-	// SamplerInterpreted walks circuit.Ops directly: the reference.
-	SamplerInterpreted SamplerPath = iota
-	// SamplerCompiled executes the compiled plan one word at a time.
-	SamplerCompiled
-	// SamplerWide executes the compiled plan frame.WideWords words per
-	// pass, grouping the schedule into wide groups.
-	SamplerWide
-)
-
-// String returns the path's name for divergence reports.
-func (sp SamplerPath) String() string {
-	switch sp {
-	case SamplerInterpreted:
-		return "interpreted"
-	case SamplerCompiled:
-		return "compiled"
-	case SamplerWide:
-		return "wide"
-	}
-	return fmt.Sprintf("SamplerPath(%d)", int(sp))
-}
-
-// SamplerPaths lists every frame-layer path the harness compares.
-var SamplerPaths = []SamplerPath{SamplerInterpreted, SamplerCompiled, SamplerWide}
-
-// SampleWords runs the schedule through one sampling path from the given
-// seed and returns copies of every batch's words. The wide path groups
-// the schedule into runs of up to frame.WideWords batches, exactly as the
-// Monte Carlo loop does.
-func SampleWords(path SamplerPath, c *circuit.Circuit, plan *frame.Plan, seed uint64, sched Schedule) Words {
+// SampleWords runs the schedule through a sampler from the given seed
+// and returns copies of every batch's words.
+func SampleWords(s *frame.Sampler, seed uint64, sched Schedule) Words {
 	rng := stats.NewRand(seed)
 	var w Words
-	record := func(b frame.Batch) {
+	for _, n := range sched {
+		b := s.SampleBatch(rng, n)
 		w.Det = append(w.Det, append([]uint64(nil), b.Det...))
 		w.Obs = append(w.Obs, append([]uint64(nil), b.Obs...))
-	}
-	switch path {
-	case SamplerInterpreted:
-		s := frame.NewSampler(c)
-		for _, n := range sched {
-			record(s.SampleBatch(rng, n))
-		}
-	case SamplerCompiled:
-		s := plan.NewSampler()
-		for _, n := range sched {
-			record(s.SampleBatch(rng, n))
-		}
-	case SamplerWide:
-		s := plan.NewWideSampler()
-		for off := 0; off < len(sched); off += frame.WideWords {
-			end := off + frame.WideWords
-			if end > len(sched) {
-				end = len(sched)
-			}
-			for _, b := range s.SampleGroup(rng, sched[off:end]) {
-				record(b)
-			}
-		}
-	default:
-		panic("diffharness: unknown sampler path")
 	}
 	return w
 }
 
-// CompareSamplers runs the schedule through every sampling path and fails
-// the test at the first diverging word, naming the diverging path pair,
-// batch, word kind and index, the compiled-plan instruction that computes
-// that word, and the mask of diverging shot lanes.
+// CompareSamplers runs the schedule through the interpreted and the
+// compiled sampler and fails the test at the first diverging word,
+// naming the batch, word kind and index, the compiled-plan instruction
+// that computes that word, and the mask of diverging shot lanes.
 func CompareSamplers(t testing.TB, c *circuit.Circuit, seed uint64, sched Schedule) {
 	t.Helper()
 	plan := frame.Compile(c)
-	ref := SampleWords(SamplerInterpreted, c, plan, seed, sched)
-	for _, path := range SamplerPaths[1:] {
-		got := SampleWords(path, c, plan, seed, sched)
-		if d := firstWordDivergence(plan, ref, got, sched); d != "" {
-			fail(t, c, "seed %d: %s sampler diverges from interpreted: %s", seed, path, d)
-		}
+	ref := SampleWords(frame.NewSampler(c), seed, sched)
+	got := SampleWords(plan.NewSampler(), seed, sched)
+	if d := firstWordDivergence(plan, ref, got, sched); d != "" {
+		fail(t, c, "seed %d: compiled sampler diverges from interpreted: %s", seed, d)
 	}
 }
 
@@ -294,55 +238,31 @@ func firstWordDivergence(plan *frame.Plan, ref, got Words, sched Schedule) strin
 	return ""
 }
 
-// PipelinePaths lists every Monte Carlo execution path, reference first.
-var PipelinePaths = []mc.Path{mc.PathInterpreted, mc.PathCompiled, mc.PathWide, mc.PathAuto}
-
-// PathName names an mc execution path for divergence reports.
-func PathName(p mc.Path) string {
-	switch p {
-	case mc.PathAuto:
-		return "auto (wide+batched+predecoder)"
-	case mc.PathInterpreted:
-		return "interpreted"
-	case mc.PathCompiled:
-		return "compiled"
-	case mc.PathWide:
-		return "wide"
-	}
-	return fmt.Sprintf("Path(%d)", int(p))
-}
-
-// onPath returns a copy of the pipeline forced onto the given path.
-// PathInterpreted also drops the compiled plan, so a regression in plan
-// sharing cannot mask itself.
-func onPath(pl *mc.Pipeline, path mc.Path) *mc.Pipeline {
-	q := *pl
-	q.Path = path
-	if path == mc.PathInterpreted {
-		q.Plan = nil
-	}
-	return &q
-}
-
-// ComparePipelines runs the shot budget through every mc execution path
-// for each worker count, asserting identical LERResult tallies against
-// the interpreted reference; and for each increment schedule (a sorted
-// list of interior cut points, multiples of mc.ShardShots), asserts that
-// RunFrom increments covering [0, shots) merge to exactly the reference
-// result on every path. Divergences name the path, worker count and
-// increment schedule.
+// ComparePipelines runs the shot budget through pl — a pipeline built by
+// mc.NewPipeline, on the production path — and through its nil-Plan copy,
+// the interpreted reference, for each worker count, asserting identical
+// LERResult tallies against the single-worker reference; and for each
+// increment schedule (a sorted list of interior cut points, multiples of
+// mc.ShardShots), asserts that RunFrom increments covering [0, shots)
+// merge to exactly the reference result on both paths. Divergences name
+// the path, worker count and increment schedule. pl itself is not
+// modified.
 func ComparePipelines(t testing.TB, pl *mc.Pipeline, shots int, seed uint64, workers []int, increments [][]int) {
 	t.Helper()
-	ref := onPath(pl, mc.PathInterpreted)
+	prod, ref := *pl, *pl
+	ref.Plan = nil
 	ref.Workers = 1
 	want := ref.Run(shots, seed)
-	for _, path := range PipelinePaths {
-		q := onPath(pl, path)
+	for _, path := range []struct {
+		name string
+		q    *mc.Pipeline
+	}{{"reference", &ref}, {"production", &prod}} {
+		q := path.q
 		for _, w := range workers {
 			q.Workers = w
 			if got := q.Run(shots, seed); !reflect.DeepEqual(got, want) {
-				fail(t, pl.Circuit, "seed %d: path %s workers=%d: Run %+v != interpreted reference %+v",
-					seed, PathName(path), w, got, want)
+				fail(t, pl.Circuit, "seed %d: %s path workers=%d: Run %+v != interpreted reference %+v",
+					seed, path.name, w, got, want)
 			}
 			for _, cuts := range increments {
 				got := mc.LERResult{}
@@ -352,8 +272,8 @@ func ComparePipelines(t testing.TB, pl *mc.Pipeline, shots int, seed uint64, wor
 					from = cut
 				}
 				if !reflect.DeepEqual(got, want) {
-					fail(t, pl.Circuit, "seed %d: path %s workers=%d increments %v: merged RunFrom %+v != reference %+v",
-						seed, PathName(path), w, cuts, got, want)
+					fail(t, pl.Circuit, "seed %d: %s path workers=%d increments %v: merged RunFrom %+v != reference %+v",
+						seed, path.name, w, cuts, got, want)
 				}
 			}
 		}

@@ -34,6 +34,7 @@ import (
 	"latticesim/internal/exp"
 	"latticesim/internal/frame"
 	"latticesim/internal/hardware"
+	"latticesim/internal/mc"
 	"latticesim/internal/microarch"
 	"latticesim/internal/obs"
 	"latticesim/internal/service"
@@ -140,9 +141,9 @@ type (
 	// worker count; see DESIGN.md §5. The inner loop executes a compiled
 	// sampler plan with sparse syndrome extraction and zero-syndrome
 	// decode skipping (DESIGN.md §9), bit-identical to interpretation.
-	Pipeline = exp.Pipeline
+	Pipeline = mc.Pipeline
 	// LERResult reports logical error statistics.
-	LERResult = exp.LERResult
+	LERResult = mc.LERResult
 	// DetectorErrorModel is the extracted error model.
 	DetectorErrorModel = dem.Model
 	// Decoder predicts observable flips from fired detectors.
@@ -157,7 +158,7 @@ type (
 
 // NewPipeline builds the sample→DEM→decode pipeline for a circuit,
 // including its compiled sampler plan.
-func NewPipeline(c *Circuit) (*Pipeline, error) { return exp.NewPipeline(c) }
+func NewPipeline(c *Circuit) (*Pipeline, error) { return mc.NewPipeline(c) }
 
 // CompileSampler lowers a circuit into a compiled sampler plan. The plan
 // produces bit-identical samples to direct interpretation of the circuit
@@ -349,15 +350,6 @@ type (
 	// ServiceLeaseUpdate is a worker's report on a leased unit:
 	// heartbeat, complete, or fail.
 	ServiceLeaseUpdate = service.LeaseUpdate
-)
-
-// Deprecated aliases, kept for one release per the API.md deprecation
-// policy.
-type (
-	// ServiceJobSpec describes one job.
-	//
-	// Deprecated: use ServiceJob.
-	ServiceJobSpec = service.JobSpec
 )
 
 // NewService starts an embeddable simulation server; expose it over

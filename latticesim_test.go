@@ -134,7 +134,7 @@ func TestFacadeService(t *testing.T) {
 	defer hs.Close()
 
 	client := latticesim.NewServiceClient(hs.URL)
-	spec := latticesim.ServiceJobSpec{Type: "sweep", Sweep: &latticesim.ServiceSweepJob{
+	spec := latticesim.ServiceJob{Type: "sweep", Sweep: &latticesim.ServiceSweepJob{
 		Policy: "Active", TauNs: 800, Shots: 512, Seed: 3,
 	}}
 	st, data, err := client.Run(context.Background(), spec, nil)
