@@ -42,12 +42,13 @@ cover:
 			|| { echo "coverage floor violated: $$pkg at $$pct% < $(COVER_FLOOR)%"; exit 1; }; \
 	done
 
-# fuzz runs the grammar fuzzers for FUZZTIME each — the same smoke CI's
+# fuzz runs the grammar fuzzers (trace, grid, job spec) for FUZZTIME each — the same smoke CI's
 # lint job runs (30s there).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseGrid -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz FuzzJobSpecResolve -fuzztime $(FUZZTIME) ./internal/service
 
 # serve starts the simulation service (HTTP job queue + content-addressed
 # result store under SERVE_DATA). Submit work with `latticesim submit`

@@ -19,10 +19,16 @@ import (
 // connection (and its goroutine) open forever.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit idle
+// between requests before the server closes it.
+const idleTimeout = 2 * time.Minute
+
 // newHTTPServer returns the server every listener of this command uses:
-// h behind the header timeout.
+// h behind the header and idle timeouts. ReadTimeout and WriteTimeout
+// stay unset because a ?watch=1 stream must outlive any fixed bound;
+// request bodies are bounded by MaxBytesReader instead.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // runServe implements the `latticesim serve` subcommand: start the

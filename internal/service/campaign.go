@@ -99,7 +99,8 @@ func (s *Server) submitCampaignLocked(r *resolvedJob, tenant, traceID string) (J
 	fresh := 0
 	for i, br := range batches {
 		plans[i].res = br
-		if live, ok := s.inflight[br.key]; ok {
+		// A terminal-but-unsettled job is not adopted (see SubmitTraced).
+		if live, ok := s.inflight[br.key]; ok && !live.snapshot().Terminal() {
 			plans[i].live = live
 			continue
 		}
@@ -259,15 +260,14 @@ func (s *Server) completeCampaign(c *campaign) {
 	perr := s.store.Put(c.parent.res.key, agg)
 	switch {
 	case perr == nil:
-		c.parent.mu.Lock()
-		if !c.parent.status.Terminal() {
-			c.parent.status.State = StateDone
-			c.parent.status.Progress.Done = c.parent.status.Progress.Total
-			c.parent.status.DoneMs = time.Now().UnixMilli()
-			c.parent.broadcastLocked()
-		}
-		c.parent.mu.Unlock()
-		s.settle(c.parent)
+		s.transition(c.parent, "", func(st *JobStatus) bool {
+			if st.Terminal() {
+				return false
+			}
+			st.State = StateDone
+			st.Progress.Done = st.Progress.Total
+			return true
+		})
 	case errors.Is(perr, ErrStoreMismatch):
 		s.integrityFail(c.parent, perr)
 	default:
@@ -298,18 +298,15 @@ func (s *Server) failCampaign(c *campaign, blocker JobStatus) {
 }
 
 // failParent applies a failed terminal transition to the parent (no-op
-// if it is already terminal) and settles its accounting.
+// if it is already terminal).
 func (s *Server) failParent(c *campaign, msg, reason string) {
-	c.parent.mu.Lock()
-	if !c.parent.status.Terminal() {
-		c.parent.status.State = StateFailed
-		c.parent.status.Error = msg
-		c.parent.status.StopReason = reason
-		c.parent.status.DoneMs = time.Now().UnixMilli()
-		c.parent.broadcastLocked()
-	}
-	c.parent.mu.Unlock()
-	s.settle(c.parent)
+	s.transition(c.parent, "", func(st *JobStatus) bool {
+		if st.Terminal() {
+			return false
+		}
+		st.State, st.Error, st.StopReason = StateFailed, msg, reason
+		return true
+	})
 }
 
 // releaseChildren drops the campaign's references on its children and

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"time"
 
 	"latticesim/internal/obs"
 	"latticesim/internal/sweep"
@@ -29,6 +31,48 @@ func (s *Server) execute(ctx context.Context, j *job, att int) ([]byte, error) {
 	return executeResolved(ctx, s.opts.Cache, j.res, s.opts.MCWorkers, func(p Progress) {
 		s.touch(j, att, p)
 	}, s.met.reg)
+}
+
+// Failure reasons RunAttempt classifies an attempt's error with, and a
+// node reports on a lease's "fail". Error and panic failures are retried
+// and recorded in JobStatus.Failures; a timeout ends the job.
+const (
+	ReasonError   = "error"
+	ReasonPanic   = "panic"
+	ReasonTimeout = "timeout"
+)
+
+// errAttemptTimeout is the cancellation cause of an attempt that
+// exceeded its wall-time bound.
+var errAttemptTimeout = errors.New("attempt exceeded its execution timeout")
+
+// RunAttempt executes one attempt of a work unit: the single executor
+// wrapper the coordinator's local pool and worker nodes
+// (internal/worker) share. fn runs under ctx bounded by timeout
+// (0 = unbounded), and a panic in it is recovered into an error, so a
+// decoder bug or an injected fault costs the unit one attempt, never the
+// process. On failure reason classifies err for the coordinator's
+// outcome router: ReasonTimeout when the bound expired, else ReasonPanic
+// when fn panicked, else ReasonError.
+func RunAttempt(ctx context.Context, timeout time.Duration, fn func(context.Context) ([]byte, error)) (data []byte, reason string, err error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, timeout, errAttemptTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			data, reason, err = nil, ReasonPanic, fmt.Errorf("%v", p)
+		}
+		if err != nil && context.Cause(ctx) == errAttemptTimeout {
+			reason = ReasonTimeout
+		}
+	}()
+	data, err = fn(ctx)
+	if err != nil {
+		reason = ReasonError
+	}
+	return data, reason, err
 }
 
 // ExecuteSpec resolves a job spec and executes it locally — the entry

@@ -441,3 +441,73 @@ func TestClientRetriesQueueFull(t *testing.T) {
 		t.Fatal("retry-less client swallowed the 503")
 	}
 }
+
+// TestResubmitTerminalUnsettledJob pins the window between a job's
+// terminal transition and its settle, while the in-flight slot still
+// names the finished job: a resubmission (or a campaign child) must not
+// coalesce onto it, but fall through to the store — a hit when the
+// result is there, a fresh job when a torn write lost it or the job
+// failed.
+func TestResubmitTerminalUnsettledJob(t *testing.T) {
+	srv, _ := newTestServer(t, Options{Workers: -1})
+	// finishUnsettled makes a job terminal the way a transition does
+	// before settle runs.
+	finishUnsettled := func(id, state string) {
+		t.Helper()
+		srv.mu.Lock()
+		j := srv.jobs[id]
+		srv.mu.Unlock()
+		j.update(func(st *JobStatus) {
+			st.State = state
+			st.DoneMs = time.Now().UnixMilli()
+		})
+	}
+	submit := func(spec JobSpec) JobStatus {
+		t.Helper()
+		st, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return st
+	}
+
+	failedSpec := sweepSpec(1000, 64, 51)
+	failed := submit(failedSpec)
+	finishUnsettled(failed.ID, StateFailed)
+	if again := submit(failedSpec); again.ID == failed.ID || again.State != StateQueued {
+		t.Fatalf("resubmitting a failed job = %s %s, want a fresh queued job", again.ID, again.State)
+	}
+
+	tornSpec := sweepSpec(1000, 64, 52)
+	torn := submit(tornSpec)
+	finishUnsettled(torn.ID, StateDone) // its result never reached the store
+	if heal := submit(tornSpec); heal.ID == torn.ID || heal.State != StateQueued {
+		t.Fatalf("healing resubmission = %s %s, want a fresh queued job", heal.ID, heal.State)
+	}
+
+	storedSpec := sweepSpec(1000, 64, 54)
+	stored := submit(storedSpec)
+	if err := srv.Store().Put(stored.Key, []byte(`{"stored":true}`)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	finishUnsettled(stored.ID, StateDone)
+	if hit := submit(storedSpec); hit.ID == stored.ID || !hit.CacheHit || hit.State != StateDone {
+		t.Fatalf("resubmitting a stored job = %s %s hit=%v, want a fresh cache hit", hit.ID, hit.State, hit.CacheHit)
+	}
+
+	cj := CampaignJob{Policies: "Passive", TausNs: "1000", Shots: 64, Seed: 53, BatchPoints: 1}
+	r, err := JobSpec{Type: "campaign", Campaign: &cj}.resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	batch := submit(compositeResolved("batch", r.units).spec)
+	finishUnsettled(batch.ID, StateFailed)
+	camp := submit(JobSpec{Type: "campaign", Campaign: &cj})
+	cs, ok := srv.Campaign(camp.ID)
+	if !ok || len(cs.Batches) != 1 {
+		t.Fatalf("campaign %s: ok=%v batches=%d, want 1", camp.ID, ok, len(cs.Batches))
+	}
+	if cs.Batches[0].ID == batch.ID {
+		t.Fatalf("campaign adopted the failed batch %s instead of scheduling it afresh", batch.ID)
+	}
+}

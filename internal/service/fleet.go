@@ -96,6 +96,11 @@ type LeaseUpdate struct {
 	Result []byte `json:"result,omitempty"`
 	// Error carries the failure message on "fail".
 	Error string `json:"error,omitempty"`
+	// Reason classifies a "fail" the way RunAttempt does: ReasonError
+	// (also when empty), ReasonPanic or ReasonTimeout. The coordinator
+	// applies the same policy to every executor: a timeout is terminal,
+	// a panic or error is retried.
+	Reason string `json:"reason,omitempty"`
 }
 
 // LeaseAck answers a LeaseUpdate. Valid=false tells the worker its
@@ -162,16 +167,8 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 	}
 	w.info.LastSeenMs = now.UnixMilli()
 
-	// Queue first: pop the oldest runnable entry, exactly like the local
-	// pool's nextJob but non-blocking.
-	for len(s.pending) > 0 {
-		j := s.pending[0]
-		copy(s.pending, s.pending[1:])
-		s.pending[len(s.pending)-1] = nil
-		s.pending = s.pending[:len(s.pending)-1]
-		if att, ok := s.beginRemoteAttemptLocked(j, workerID, now, false); ok {
-			return s.grantLocked(w, j, att, false), nil
-		}
+	if j, att, _ := s.popRunnableLocked(workerID); j != nil {
+		return s.grantLocked(w, j, att, false), nil
 	}
 
 	// Tail work-stealing: duplicate a straggling batch child.
@@ -192,7 +189,7 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 		if !stale {
 			continue
 		}
-		if att, ok := s.beginRemoteAttemptLocked(j, workerID, now, true); ok {
+		if att, _, ok := s.beginAttemptLocked(j, workerID, true); ok {
 			s.met.steals.Inc()
 			s.log.Info("work_steal", "job", id, "worker", workerID, "victim", victim)
 			return s.grantLocked(w, j, att, true), nil
@@ -201,34 +198,9 @@ func (s *Server) LeaseWork(workerID string) (*LeaseGrant, error) {
 	return nil, nil
 }
 
-// beginRemoteAttemptLocked transitions a job to running on a remote
-// worker and mints its attempt token. For a steal (running job) the
-// previous holder's cancel func is retained: a local straggler can
-// still be reclaimed by cancel/expiry, and a remote one holds no
-// context anyway. Caller holds s.mu.
-func (s *Server) beginRemoteAttemptLocked(j *job, workerID string, now time.Time, steal bool) (int, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if steal {
-		if j.status.State != StateRunning {
-			return 0, false
-		}
-	} else if j.status.State != StateQueued {
-		return 0, false
-	}
-	j.status.State = StateRunning
-	j.status.Attempt++
-	j.status.Progress = Progress{}
-	j.status.Worker = workerID
-	j.lease = now.Add(s.opts.Lease)
-	j.attemptStart = now
-	j.broadcastLocked()
-	s.met.attempts.Inc()
-	return j.status.Attempt, true
-}
-
-// grantLocked mints the lease record for an attempt just begun.
-// Caller holds s.mu.
+// grantLocked mints the lease record for an attempt just begun. The
+// grant's spec carries the attempt's effective timeout, so a node bounds
+// its execution exactly as the local pool does. Caller holds s.mu.
 func (s *Server) grantLocked(w *workerNode, j *job, att int, stolen bool) *LeaseGrant {
 	s.nextLease++
 	l := &remoteLease{
@@ -242,13 +214,14 @@ func (s *Server) grantLocked(w *workerNode, j *job, att int, stolen bool) *Lease
 	w.info.Leased++
 	s.met.leaseGrants.Inc()
 	st := j.snapshot()
-	s.startAttemptSpan(st)
 	s.startLeaseSpan(l, st)
+	spec := j.res.spec
+	spec.TimeoutMs = int64((s.attemptTimeout(j) + time.Millisecond - 1) / time.Millisecond)
 	return &LeaseGrant{
 		LeaseID: l.id,
 		JobID:   st.ID,
 		Key:     j.res.key,
-		Spec:    j.res.spec,
+		Spec:    spec,
 		Attempt: att,
 		LeaseMs: s.opts.Lease.Milliseconds(),
 		Stolen:  stolen,
@@ -256,33 +229,39 @@ func (s *Server) grantLocked(w *workerNode, j *job, att int, stolen bool) *Lease
 	}
 }
 
-// UpdateLease applies a worker's report on a leased unit. An unknown
-// lease ID is not an error — the coordinator may have garbage-collected
-// it, or restarted — the worker just learns Valid=false and moves on.
-// Completion reports route through exactly the machinery local
-// attempts use: store-then-transition on success, retry-or-fail on
-// failure, and the integrity cross-check for reports whose attempt
-// token was superseded (a stolen unit's straggler, an expired lease's
-// zombie). A mismatch there names the reporting worker in the
-// integrity_error, so a nondeterministic (or corrupting) node is
+// UpdateLease applies a worker's report on a leased unit. A malformed
+// report (unknown event or reason) is an error; an unknown lease ID is
+// not — the coordinator may have garbage-collected it, or restarted —
+// the worker just learns Valid=false and moves on. Outcomes route
+// through finishAttempt, exactly as local attempts do; what remains
+// here is the lease record: retiring it, crediting the node, and
+// closing its span. A superseded report's integrity mismatch names the
+// reporting worker, so a nondeterministic (or corrupting) node is
 // identifiable fleet-wide.
 func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
-	now := time.Now()
+	switch u.Event {
+	case "heartbeat", "complete", "fail":
+	default:
+		return LeaseAck{}, fmt.Errorf("service: unknown lease event %q", u.Event)
+	}
+	switch u.Reason {
+	case "", ReasonError, ReasonPanic, ReasonTimeout:
+	default:
+		return LeaseAck{}, fmt.Errorf("service: unknown failure reason %q", u.Reason)
+	}
 	s.mu.Lock()
 	l, ok := s.leases[leaseID]
 	if !ok {
 		s.mu.Unlock()
 		return LeaseAck{}, nil
 	}
-	w := s.workers[l.wkr]
-	if w != nil {
-		w.info.LastSeenMs = now.UnixMilli()
+	if w := s.workers[l.wkr]; w != nil {
+		w.info.LastSeenMs = time.Now().UnixMilli()
 	}
 	s.mu.Unlock()
 
 	j := l.j
-	switch u.Event {
-	case "heartbeat":
+	if u.Event == "heartbeat" {
 		p := Progress{}
 		if u.Progress != nil {
 			p = *u.Progress
@@ -290,60 +269,27 @@ func (s *Server) UpdateLease(leaseID string, u LeaseUpdate) (LeaseAck, error) {
 		s.touch(j, l.att, p)
 		st := j.snapshot()
 		return LeaseAck{Valid: st.State == StateRunning && st.Attempt == l.att}, nil
+	}
 
-	case "complete":
-		s.resolveLease(leaseID)
-		j.mu.Lock()
-		owns := j.status.Attempt == l.att && !j.status.Terminal()
-		j.mu.Unlock()
-		if !owns {
-			s.endLeaseSpan(l, "superseded")
-			if u.Result != nil {
-				s.integrityCheck(j, u.Result, l.wkr)
-			}
-			return LeaseAck{}, nil
-		}
-		// The worker's credit waits for the store write: a report whose
-		// bytes conflict with the stored result is an integrity failure
-		// implicating the node, not a completion.
-		perr := s.store.Put(j.res.key, u.Result)
-		switch {
-		case perr == nil:
-			s.countOutcome(l.wkr, true)
-			s.endLeaseSpan(l, "complete")
-			s.completeJob(j, l.att)
-		case errors.Is(perr, ErrStoreMismatch):
-			s.countOutcome(l.wkr, false)
-			s.endLeaseSpan(l, "integrity_error")
-			s.integrityFail(j, fmt.Errorf("worker %s: %w", l.wkr, perr))
-		default:
-			// A store-side write error is not the worker's doing; the
-			// report still counts as a completion on its record.
-			s.countOutcome(l.wkr, true)
-			s.endLeaseSpan(l, "store_error")
-			s.retryOrFail(j, l.att, "error", perr, now)
-		}
-		return LeaseAck{Valid: true}, nil
-
-	case "fail":
-		s.resolveLease(leaseID)
-		j.mu.Lock()
-		owns := j.status.Attempt == l.att && j.status.State == StateRunning
-		j.mu.Unlock()
-		if !owns {
-			s.endLeaseSpan(l, "superseded")
-			return LeaseAck{}, nil
-		}
-		s.countOutcome(l.wkr, false)
-		s.endLeaseSpan(l, "fail")
+	s.resolveLease(leaseID)
+	var err error
+	if u.Event == "fail" {
 		msg := u.Error
 		if msg == "" {
 			msg = "worker reported failure without a message"
 		}
-		s.retryOrFail(j, l.att, "error", errors.New(msg), now)
-		return LeaseAck{Valid: true}, nil
+		err = errors.New(msg)
 	}
-	return LeaseAck{}, fmt.Errorf("service: unknown lease event %q", u.Event)
+	outcome := s.finishAttempt(j, l.att, l.wkr, u.Result, u.Reason, err)
+	s.endLeaseSpan(l, outcome)
+	if outcome == "superseded" {
+		return LeaseAck{}, nil
+	}
+	// A store-side write error is not the worker's doing: its report
+	// still counts as a completion on its record. An integrity mismatch
+	// implicates the node.
+	s.countOutcome(l.wkr, outcome == "complete" || outcome == "store_error")
+	return LeaseAck{Valid: true}, nil
 }
 
 // resolveLease retires a lease record once its worker has reported a

@@ -336,3 +336,64 @@ func TestLeaseUnknownIsInvalid(t *testing.T) {
 		t.Fatalf("LeaseWork unknown worker = %v, want ErrUnknownWorker", err)
 	}
 }
+
+// TestLeaseFailReason: a node's fail report carries RunAttempt's
+// classification and the router applies the local pool's policy — a
+// panic is recorded and retried, a timeout is terminal at once — while
+// a report with an unknown reason is rejected as a bad request. Grants
+// carry the effective timeout, the server default included.
+func TestLeaseFailReason(t *testing.T) {
+	srv, client := newTestServer(t, Options{
+		Workers: -1, StealAge: -1, JobTimeout: 1500 * time.Microsecond,
+	})
+	w, err := srv.RegisterWorker("node")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	st, err := srv.Submit(sweepSpec(1000, 64, 61))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	lease := func() *LeaseGrant {
+		t.Helper()
+		g, err := srv.LeaseWork(w.ID)
+		if err != nil || g == nil {
+			t.Fatalf("lease = %v, %v; want a grant", g, err)
+		}
+		return g
+	}
+
+	g1 := lease()
+	if g1.Spec.TimeoutMs != 2 {
+		t.Fatalf("grant timeout_ms = %d, want the 1.5ms server default rounded up to 2", g1.Spec.TimeoutMs)
+	}
+	ack, err := srv.UpdateLease(g1.LeaseID, LeaseUpdate{Event: "fail", Reason: ReasonPanic, Error: "boom"})
+	if err != nil || !ack.Valid {
+		t.Fatalf("panic report ack = %+v, %v; want valid", ack, err)
+	}
+	got, _ := srv.Job(st.ID)
+	if got.State != StateQueued || len(got.Failures) != 1 ||
+		got.Failures[0].Reason != ReasonPanic || got.Failures[0].Worker != w.ID {
+		t.Fatalf("after panic report: state %s failures %+v, want queued with one panic by %s", got.State, got.Failures, w.ID)
+	}
+
+	g2 := lease()
+	for _, bad := range []string{"nope", "lease_expired"} {
+		if _, err := srv.UpdateLease(g2.LeaseID, LeaseUpdate{Event: "fail", Reason: bad}); err == nil {
+			t.Fatalf("UpdateLease with reason %q succeeded", bad)
+		}
+	}
+	_, err = client.UpdateLease(context.Background(), g2.LeaseID, LeaseUpdate{Event: "fail", Reason: "nope"})
+	var apiErr *APIStatusError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+		t.Fatalf("unknown reason over HTTP = %v, want 400 %s", err, CodeBadRequest)
+	}
+	if ack, err := srv.UpdateLease(g2.LeaseID, LeaseUpdate{Event: "fail", Reason: ReasonTimeout, Error: "slow"}); err != nil || !ack.Valid {
+		t.Fatalf("timeout report ack = %+v, %v; want valid", ack, err)
+	}
+	got, _ = srv.Job(st.ID)
+	if got.State != StateFailed || got.StopReason != StopReasonTimeout || got.Attempt != 2 || len(got.Failures) != 1 {
+		t.Fatalf("after timeout report: %s/%s attempt %d failures %d, want failed/timeout at attempt 2 with 1 failure",
+			got.State, got.StopReason, got.Attempt, len(got.Failures))
+	}
+}

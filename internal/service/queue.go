@@ -162,11 +162,11 @@ type job struct {
 	mu      sync.Mutex
 	status  JobStatus
 	changed chan struct{}
-	// cancel stops the current attempt's context (nil when no attempt is
-	// running, and for remote attempts — their reclamation is the lease
-	// expiring). lease is the current attempt's heartbeat deadline,
-	// renewed on every progress event; the watchdog reaps attempts past
-	// it.
+	// cancel stops the running local execution's context (nil when none
+	// runs: remote attempts are reclaimed by their lease expiring); every
+	// transition out of the attempt calls and clears it. lease is the
+	// current attempt's heartbeat deadline, renewed on every progress
+	// event; the watchdog reaps attempts past it.
 	cancel context.CancelFunc
 	lease  time.Time
 	// attemptStart is when the current attempt began (zero when no
@@ -385,13 +385,17 @@ func (s *Server) SubmitTraced(spec JobSpec, tenant, traceID string) (JobStatus, 
 		return JobStatus{}, ErrClosed
 	}
 	// Dedup order matters and must happen under the server lock: a live
-	// job covers the key until the terminal transition removes it (which
-	// happens only after the result is stored), so checking in-flight
-	// first and the store second leaves no window in which a finishing
-	// job's resubmission could re-queue and recompute. Blobs are small,
-	// so a store read under the lock is cheap.
-	if live, exists := s.inflight[r.key]; exists {
-		return live.snapshot(), nil
+	// job covers the key until its terminal transition (which a done job
+	// makes only after its result is stored), so checking in-flight first
+	// and the store second leaves no window in which a finishing job's
+	// resubmission could re-queue and recompute. A job already terminal
+	// but not yet settled covers nothing: a resubmission falls through to
+	// the store — a hit, or a fresh job that heals a torn write or retries
+	// a failure. Blobs are small, so a store read under the lock is cheap.
+	if live, ok := s.inflight[r.key]; ok {
+		if st := live.snapshot(); !st.Terminal() {
+			return st, nil
+		}
 	}
 	if _, ok, err := s.store.Get(r.key); err != nil {
 		return JobStatus{}, err
@@ -560,30 +564,16 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 // the monitor goroutine observes the parent's transition and cancels
 // every child no other live campaign still references.
 func (s *Server) cancelJob(j *job) JobStatus {
-	j.mu.Lock()
-	if j.status.Terminal() {
-		st := j.status
-		j.mu.Unlock()
-		return st
+	st, ok := s.transition(j, StateCanceled, func(st *JobStatus) bool {
+		if st.Terminal() {
+			return false
+		}
+		st.State, st.StopReason = StateCanceled, StopReasonCanceled
+		return true
+	})
+	if ok {
+		s.met.cancels.Inc()
 	}
-	cancel := j.cancel
-	wasRunning := j.status.State == StateRunning
-	att := j.status.Attempt
-	astart := j.attemptStart
-	j.status.State = StateCanceled
-	j.status.StopReason = StopReasonCanceled
-	j.status.DoneMs = time.Now().UnixMilli()
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.met.cancels.Inc()
-	if wasRunning {
-		s.endAttemptSpan(st, att, astart, "canceled")
-	}
-	s.settle(j)
 	return st
 }
 
@@ -692,13 +682,13 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close stops the server: no new submissions are accepted, running
-// local attempts finish (Close does not cancel them), and jobs still
-// queued are failed with ErrClosed's message and stop reason
-// "shutdown". Jobs still running once the local pool has drained are
-// necessarily remote-leased attempts or campaign parents — neither can
-// make progress on a closed server, so they are failed the same way,
-// which in turn unblocks every campaign monitor before Close returns.
+// Close stops the server: no new submissions are accepted, the local
+// pool drains the queue (Close does not cancel running local attempts),
+// and every job still live once the pool has stopped — remote-leased
+// attempts, their queued successors, campaign parents — is failed with
+// ErrClosed's message and stop reason "shutdown". None of them could
+// make progress on a closed server, and failing them unblocks every
+// campaign monitor before Close returns.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -711,90 +701,114 @@ func (s *Server) Close() {
 
 	close(s.quit)
 	s.wg.Wait()
-	// Workers and the watchdog are gone; whatever is left pending never
-	// (re)started.
 	s.mu.Lock()
-	pending := s.pending
 	s.pending = nil
-	var running []*job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.snapshot().State == StateRunning {
-			running = append(running, j)
+	var live []*job
+	// Newest first, so a campaign's children fail before their parent and
+	// its monitor reports the shutdown rather than canceling orphans.
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if j := s.jobs[s.order[i]]; !j.snapshot().Terminal() {
+			live = append(live, j)
 		}
 	}
 	s.mu.Unlock()
-	now := time.Now().UnixMilli()
-	for _, j := range pending {
-		j.mu.Lock()
-		if j.status.State == StateQueued {
-			j.status.State = StateFailed
-			j.status.Error = ErrClosed.Error()
-			j.status.StopReason = StopReasonShutdown
-			j.status.DoneMs = now
-			j.broadcastLocked()
-		}
-		j.mu.Unlock()
-		s.settle(j)
-	}
-	for _, j := range running {
-		j.mu.Lock()
-		if j.status.State == StateRunning {
-			cancel := j.cancel
-			j.cancel = nil
-			j.status.State = StateFailed
-			j.status.Error = ErrClosed.Error()
-			j.status.StopReason = StopReasonShutdown
-			j.status.DoneMs = now
-			j.broadcastLocked()
-			j.mu.Unlock()
-			if cancel != nil {
-				cancel()
+	for _, j := range live {
+		s.transition(j, "shutdown", func(st *JobStatus) bool {
+			if st.Terminal() {
+				return false
 			}
-		} else {
-			j.mu.Unlock()
-		}
-		s.settle(j)
+			st.State, st.StopReason, st.Error = StateFailed, StopReasonShutdown, ErrClosed.Error()
+			return true
+		})
 	}
 	s.cwg.Wait()
 }
 
-// worker drains the pending queue until Close.
+// worker is one executor of the local pool. It pops attempts off the
+// queue — blocking while the queue is empty, and draining it even once
+// Close has begun — and runs each through RunAttempt and finishAttempt,
+// the same wrapper and router a remote node's attempts go through.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		j := s.nextJob()
+		s.mu.Lock()
+		j, att, ctx := s.popRunnableLocked(WorkerLocal)
+		for j == nil && !s.closed {
+			s.cond.Wait()
+			j, att, ctx = s.popRunnableLocked(WorkerLocal)
+		}
+		s.mu.Unlock()
 		if j == nil {
 			return
 		}
-		s.runAttempt(j)
+		data, reason, err := RunAttempt(ctx, s.attemptTimeout(j), func(ctx context.Context) ([]byte, error) {
+			return s.execute(ctx, j, att)
+		})
+		s.finishAttempt(j, att, WorkerLocal, data, reason, err)
 	}
 }
 
-// nextJob blocks until a runnable job is pending (skipping entries that
-// were canceled — or completed by a late attempt — while queued) or the
-// server is closing, in which case it returns nil.
-func (s *Server) nextJob() *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.pending) > 0 {
-			j := s.pending[0]
-			copy(s.pending, s.pending[1:])
-			s.pending[len(s.pending)-1] = nil
-			s.pending = s.pending[:len(s.pending)-1]
-			j.mu.Lock()
-			runnable := j.status.State == StateQueued
-			j.mu.Unlock()
-			if runnable {
-				return j
-			}
+// popRunnableLocked pops pending entries, oldest first, until one begins
+// as an attempt on worker — entries canceled (or completed by a late
+// attempt) while queued are skipped — and returns it with its attempt
+// token and context (see beginAttemptLocked). It returns a nil job when
+// the queue runs dry; it never blocks. Caller holds s.mu.
+func (s *Server) popRunnableLocked(worker string) (*job, int, context.Context) {
+	for len(s.pending) > 0 {
+		j := s.pending[0]
+		copy(s.pending, s.pending[1:])
+		s.pending[len(s.pending)-1] = nil
+		s.pending = s.pending[:len(s.pending)-1]
+		if att, ctx, ok := s.beginAttemptLocked(j, worker, false); ok {
+			return j, att, ctx
 		}
-		if s.closed {
-			return nil
-		}
-		s.cond.Wait()
 	}
+	return nil, 0, nil
+}
+
+// beginAttemptLocked starts the next attempt of j on worker (WorkerLocal
+// or a node ID): it mints the attempt token, resets progress and arms
+// the heartbeat lease. j must be queued — or, for a steal, running. A
+// local attempt gets a cancelable context, returned here and kept as
+// j.cancel for DELETE and terminal transitions; a begin never clears a
+// running local execution's cancel, so a local attempt stolen by a node
+// stays reclaimable. Caller holds s.mu.
+func (s *Server) beginAttemptLocked(j *job, worker string, steal bool) (int, context.Context, bool) {
+	want := StateQueued
+	if steal {
+		want = StateRunning
+	}
+	now := time.Now()
+	j.mu.Lock()
+	if j.status.State != want {
+		j.mu.Unlock()
+		return 0, nil, false
+	}
+	var ctx context.Context
+	if worker == WorkerLocal {
+		ctx, j.cancel = context.WithCancel(context.Background())
+	}
+	j.status.State = StateRunning
+	j.status.Attempt++
+	j.status.Progress = Progress{}
+	j.status.Worker = worker
+	j.lease = now.Add(s.opts.Lease)
+	j.attemptStart = now
+	st := j.status
+	j.broadcastLocked()
+	j.mu.Unlock()
+	s.met.attempts.Inc()
+	s.startAttemptSpan(st)
+	return st.Attempt, ctx, true
+}
+
+// attemptTimeout is j's effective wall-time bound per attempt: the
+// spec's timeout_ms, else Options.JobTimeout (0 = unbounded).
+func (s *Server) attemptTimeout(j *job) time.Duration {
+	if t := j.res.spec.TimeoutMs; t > 0 {
+		return time.Duration(t) * time.Millisecond
+	}
+	return s.opts.JobTimeout
 }
 
 // watchdog periodically reaps running attempts whose lease expired: the
@@ -828,8 +842,12 @@ func (s *Server) watchdog() {
 // integrity cross-check, dropped after so a long-lived coordinator's
 // lease table stays flat.
 func (s *Server) reapExpired(now time.Time) {
+	type expiry struct {
+		j   *job
+		att int
+	}
 	s.mu.Lock()
-	var expired []*job
+	var expired []expiry
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.res.spec.Type == "campaign" {
@@ -837,7 +855,7 @@ func (s *Server) reapExpired(now time.Time) {
 		}
 		j.mu.Lock()
 		if j.status.State == StateRunning && now.After(j.lease) {
-			expired = append(expired, j)
+			expired = append(expired, expiry{j, j.status.Attempt})
 		}
 		j.mu.Unlock()
 	}
@@ -849,59 +867,18 @@ func (s *Server) reapExpired(now time.Time) {
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range expired {
-		s.expireAttempt(j, now)
+	for _, e := range expired {
+		// The zombie executor, if it ever finishes, is fenced off by the
+		// attempt token.
+		st, ok := s.retryOrFail(e.j, e.att, reasonLeaseExpired, errLeaseExpired)
+		if !ok {
+			continue
+		}
+		s.met.leaseExpiries.Inc()
+		s.log.Warn("lease_expired", "job", st.ID, "attempt", e.att, "worker", st.Worker,
+			"failures", len(st.Failures), "terminal", st.Terminal())
+		s.endLeaseSpans(e.j, e.att, "expired")
 	}
-}
-
-// expireAttempt declares the job's current attempt dead: the failure is
-// recorded, the attempt's context canceled, and the job requeued (or
-// failed terminally when MaxAttempts is spent). The zombie executor, if
-// it ever finishes, is fenced off by the attempt token.
-func (s *Server) expireAttempt(j *job, now time.Time) {
-	j.mu.Lock()
-	if j.status.State != StateRunning || now.Before(j.lease) {
-		j.mu.Unlock()
-		return
-	}
-	att := j.status.Attempt
-	cancel := j.cancel
-	j.cancel = nil
-	astart := j.attemptStart
-	j.status.Failures = append(j.status.Failures, AttemptFailure{
-		Attempt: att, Reason: "lease_expired", AtMs: now.UnixMilli(),
-		Worker: j.status.Worker,
-	})
-	// Failures, not attempts, exhaust the retry budget: a work-steal
-	// mints a fresh attempt token without consuming it, so a stolen job
-	// still gets its full MaxAttempts of real failures.
-	terminal := len(j.status.Failures) >= s.opts.MaxAttempts
-	if terminal {
-		j.status.State = StateFailed
-		j.status.Error = fmt.Sprintf("attempt %d (failure %d/%d) missed its heartbeat lease",
-			att, len(j.status.Failures), s.opts.MaxAttempts)
-		j.status.StopReason = StopReasonMaxAttempts
-		j.status.DoneMs = now.UnixMilli()
-	} else {
-		j.status.State = StateQueued
-		j.status.Progress = Progress{}
-	}
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	s.met.leaseExpiries.Inc()
-	s.log.Warn("lease_expired", "job", st.ID, "attempt", att, "worker", st.Worker,
-		"failures", len(st.Failures), "terminal", terminal)
-	s.endAttemptSpan(st, att, astart, "lease_expired")
-	s.endLeaseSpans(j, att, "expired")
-	if terminal {
-		s.settle(j)
-		return
-	}
-	s.requeue(j)
 }
 
 // requeue puts an already-accepted job back on the pending queue,
@@ -948,62 +925,44 @@ func (s *Server) settle(j *job) {
 	}
 }
 
-// runAttempt executes one attempt of a dequeued job, with panic
-// recovery: a panicking executor (a decoder bug, an injected fault)
-// costs the job one attempt, never the worker or the server.
-func (s *Server) runAttempt(j *job) {
-	att, ctx, cancel, ok := s.beginAttempt(j)
-	if !ok {
-		return // canceled (or otherwise settled) between dequeue and start
-	}
-	defer cancel()
-	var data []byte
-	var err error
-	panicked := false
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				panicked = true
-				err = fmt.Errorf("%v", p)
-			}
-		}()
-		data, err = s.execute(ctx, j, att)
-	}()
-	s.finishAttempt(j, att, ctx, data, err, panicked)
-}
-
-// beginAttempt transitions a queued job to running: it mints the next
-// attempt token, resets progress, arms the lease, and builds the
-// attempt context (with the job's timeout, or the server default).
-func (s *Server) beginAttempt(j *job) (att int, ctx context.Context, cancel context.CancelFunc, ok bool) {
-	timeout := s.opts.JobTimeout
-	if j.res.timeout > 0 {
-		timeout = j.res.timeout
-	}
+// transition is the one sequence every state change out of an attempt
+// shares — completion, failure, retry, expiry, timeout, cancel,
+// integrity failure and shutdown. apply runs under j.mu and returns
+// false when the fence rejects the change (a superseded attempt token,
+// a job already terminal); otherwise the change is broadcast, the job's
+// local execution context (if any) is canceled, the attempt it ended is
+// closed with spanOutcome, and the job is settled when terminal or
+// requeued when queued again. It returns the resulting status and
+// whether the change applied.
+func (s *Server) transition(j *job, spanOutcome string, apply func(*JobStatus) bool) (JobStatus, bool) {
 	j.mu.Lock()
-	if j.status.State != StateQueued {
+	running := j.status.State == StateRunning && j.status.Attempt > 0
+	if !apply(&j.status) {
+		st := j.status
 		j.mu.Unlock()
-		return 0, nil, nil, false
+		return st, false
 	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), timeout)
-	} else {
-		ctx, cancel = context.WithCancel(context.Background())
+	if j.status.Terminal() && j.status.DoneMs == 0 {
+		j.status.DoneMs = time.Now().UnixMilli()
 	}
-	j.status.State = StateRunning
-	j.status.Attempt++
-	j.status.Progress = Progress{}
-	j.status.Worker = WorkerLocal
-	att = j.status.Attempt
-	j.cancel = cancel
-	j.lease = time.Now().Add(s.opts.Lease)
-	j.attemptStart = time.Now()
+	cancel := j.cancel
+	j.cancel = nil
+	astart := j.attemptStart
 	st := j.status
 	j.broadcastLocked()
 	j.mu.Unlock()
-	s.met.attempts.Inc()
-	s.startAttemptSpan(st)
-	return att, ctx, cancel, true
+	if cancel != nil {
+		cancel()
+	}
+	if running {
+		s.endAttemptSpan(st, st.Attempt, astart, spanOutcome)
+	}
+	if st.Terminal() {
+		s.settle(j)
+	} else {
+		s.requeue(j)
+	}
+	return st, true
 }
 
 // touch applies a progress update for attempt att and renews its lease.
@@ -1045,132 +1004,102 @@ func (s *Server) touch(j *job, att int, p Progress) {
 	}
 }
 
-// finishAttempt routes an attempt's outcome. The attempt token decides
-// whether this executor still owns the job: a stale completion (the
-// watchdog expired it, a retry is running or already finished, or the
-// job was canceled) must not touch job state — but if it produced
-// result bytes, those are byte-compared against the stored result as a
-// free cross-execution integrity check (DESIGN.md §14).
-func (s *Server) finishAttempt(j *job, att int, ctx context.Context, data []byte, err error, panicked bool) {
+// finishAttempt is the outcome router every executor reports through:
+// the local pool directly, remote nodes via UpdateLease. worker
+// attributes the report (WorkerLocal or a node ID); err is nil on
+// success, else reason classifies it as RunAttempt does ("" counts as
+// "error"). The attempt token decides ownership: a report from a
+// superseded attempt (expired, stolen, canceled, finished elsewhere)
+// changes no job state, but its result bytes are byte-compared against
+// the store as a free integrity check (DESIGN.md §14). An owned success
+// is stored first and transitioned second, so a coalescing resubmission
+// never misses both. The returned label is the outcome for the lease
+// span.
+func (s *Server) finishAttempt(j *job, att int, worker string, data []byte, reason string, err error) string {
+	j.mu.Lock()
+	// A late success still owns a job its expiry requeued under the same
+	// token — the bytes are the bytes; a late failure adds nothing.
+	owns := j.status.Attempt == att &&
+		(j.status.State == StateRunning || (err == nil && j.status.State == StateQueued))
+	j.mu.Unlock()
+	switch {
+	case !owns:
+		if err == nil && data != nil {
+			s.integrityCheck(j, data, worker)
+		}
+		return "superseded"
+	case err != nil && reason == ReasonTimeout:
+		// Timeouts are terminal rather than retried: the execution is
+		// deterministic, so a rerun would time out again.
+		s.transition(j, ReasonTimeout, func(st *JobStatus) bool {
+			if st.Attempt != att || st.State != StateRunning {
+				return false
+			}
+			st.State, st.StopReason = StateFailed, StopReasonTimeout
+			st.Error = fmt.Sprintf("attempt %d exceeded its execution timeout", att)
+			return true
+		})
+		return "timeout"
+	case err != nil:
+		if reason == "" {
+			reason = ReasonError
+		}
+		s.retryOrFail(j, att, reason, err)
+		return "fail"
+	}
+	switch perr := s.store.Put(j.res.key, data); {
+	case perr == nil:
+		s.transition(j, "done", func(st *JobStatus) bool {
+			if st.Attempt != att || st.Terminal() {
+				return false
+			}
+			st.State = StateDone
+			return true
+		})
+		return "complete"
+	case errors.Is(perr, ErrStoreMismatch):
+		s.integrityFail(j, fmt.Errorf("worker %s: %w", worker, perr))
+		return "integrity_error"
+	default:
+		s.retryOrFail(j, att, ReasonError, perr)
+		return "store_error"
+	}
+}
+
+// reasonLeaseExpired is the failure reason the watchdog records for an
+// attempt that missed its heartbeat deadline.
+const reasonLeaseExpired = "lease_expired"
+
+var errLeaseExpired = errors.New("missed its heartbeat lease")
+
+// retryOrFail records attempt att's failure and either requeues the job
+// or, with MaxAttempts failures spent, fails it terminally with the
+// full history. An expiry additionally requires the lease to still be
+// overdue: a heartbeat may have renewed it since the watchdog's scan.
+func (s *Server) retryOrFail(j *job, att int, reason string, err error) (JobStatus, bool) {
 	now := time.Now()
-	j.mu.Lock()
-	state := j.status.State
-	owns := j.status.Attempt == att && !j.status.Terminal()
-	j.mu.Unlock()
-
-	if !owns {
-		if data != nil && err == nil {
-			s.integrityCheck(j, data, WorkerLocal)
+	return s.transition(j, reason, func(st *JobStatus) bool {
+		if st.Attempt != att || st.State != StateRunning ||
+			(reason == reasonLeaseExpired && now.Before(j.lease)) {
+			return false
 		}
-		return
-	}
-
-	if err == nil {
-		// Success — store first, then the terminal transition, so a
-		// coalescing resubmission never misses both.
-		perr := s.store.Put(j.res.key, data)
-		switch {
-		case perr == nil:
-			s.completeJob(j, att)
-		case errors.Is(perr, ErrStoreMismatch):
-			s.integrityFail(j, perr)
-		default:
-			s.retryOrFail(j, att, "error", perr, now)
+		st.Failures = append(st.Failures, AttemptFailure{
+			Attempt: att, Reason: reason, Error: err.Error(), AtMs: now.UnixMilli(),
+			Worker: st.Worker,
+		})
+		// Failures, not attempts, exhaust the retry budget: a work-steal
+		// mints a fresh attempt token without consuming it, so a stolen job
+		// still gets its full MaxAttempts of real failures.
+		if len(st.Failures) < s.opts.MaxAttempts {
+			st.State = StateQueued
+			st.Progress = Progress{}
+			return true
 		}
-		return
-	}
-
-	if state == StateQueued {
-		// The watchdog already expired this attempt and scheduled the
-		// retry; the zombie's error (usually context.Canceled from the
-		// expiry) adds nothing.
-		return
-	}
-	if ctx.Err() == context.DeadlineExceeded {
-		s.timeoutJob(j, att, now)
-		return
-	}
-	reason := "error"
-	if panicked {
-		reason = "panic"
-	}
-	s.retryOrFail(j, att, reason, err, now)
-}
-
-// completeJob marks attempt att's job done (no-op if superseded).
-func (s *Server) completeJob(j *job, att int) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.State = StateDone
-	j.status.DoneMs = time.Now().UnixMilli()
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, "done")
-	s.settle(j)
-}
-
-// timeoutJob ends a job whose attempt exceeded its wall-time bound.
-// Timeouts are terminal rather than retried: the execution is
-// deterministic, so a rerun would time out again.
-func (s *Server) timeoutJob(j *job, att int, now time.Time) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.State != StateRunning {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.State = StateFailed
-	j.status.Error = fmt.Sprintf("attempt %d exceeded its execution timeout", att)
-	j.status.StopReason = StopReasonTimeout
-	j.status.DoneMs = now.UnixMilli()
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, "timeout")
-	s.settle(j)
-}
-
-// retryOrFail records a failed attempt and either requeues the job or,
-// with MaxAttempts spent, fails it terminally with the full history.
-func (s *Server) retryOrFail(j *job, att int, reason string, err error, now time.Time) {
-	j.mu.Lock()
-	if j.status.Attempt != att || j.status.State != StateRunning {
-		j.mu.Unlock()
-		return
-	}
-	j.cancel = nil
-	j.status.Failures = append(j.status.Failures, AttemptFailure{
-		Attempt: att, Reason: reason, Error: err.Error(), AtMs: now.UnixMilli(),
-		Worker: j.status.Worker,
+		st.State, st.StopReason = StateFailed, StopReasonMaxAttempts
+		st.Error = fmt.Sprintf("attempt %d (failure %d/%d): %s: %v",
+			att, len(st.Failures), s.opts.MaxAttempts, reason, err)
+		return true
 	})
-	terminal := len(j.status.Failures) >= s.opts.MaxAttempts
-	if terminal {
-		j.status.State = StateFailed
-		j.status.Error = fmt.Sprintf("attempt %d (failure %d/%d): %s: %v",
-			att, len(j.status.Failures), s.opts.MaxAttempts, reason, err)
-		j.status.StopReason = StopReasonMaxAttempts
-		j.status.DoneMs = now.UnixMilli()
-	} else {
-		j.status.State = StateQueued
-		j.status.Progress = Progress{}
-	}
-	astart := j.attemptStart
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.endAttemptSpan(st, att, astart, reason)
-	if terminal {
-		s.settle(j)
-		return
-	}
-	s.requeue(j)
 }
 
 // integrityCheck byte-compares a late completion's result against the
@@ -1190,24 +1119,12 @@ func (s *Server) integrityCheck(j *job, data []byte, worker string) {
 // integrityFail marks the job integrity_error (overriding done — the
 // result's provenance is compromised either way) and counts the event.
 func (s *Server) integrityFail(j *job, err error) {
-	j.mu.Lock()
-	cancel := j.cancel
-	j.cancel = nil
-	j.status.State = StateIntegrityError
-	j.status.Error = err.Error()
-	j.status.StopReason = StopReasonIntegrity
-	if j.status.DoneMs == 0 {
-		j.status.DoneMs = time.Now().UnixMilli()
-	}
-	st := j.status
-	j.broadcastLocked()
-	j.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	st, _ := s.transition(j, StateIntegrityError, func(st *JobStatus) bool {
+		st.State, st.StopReason, st.Error = StateIntegrityError, StopReasonIntegrity, err.Error()
+		return true
+	})
 	s.met.integrityFails.Inc()
 	s.log.Error("integrity_failure", "job", st.ID, "error", st.Error)
-	s.settle(j)
 }
 
 // SpecError marks a submission rejected for a malformed or invalid

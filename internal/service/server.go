@@ -216,14 +216,8 @@ func (s *Server) handleLeaseUpdate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxResultBytes, &u) {
 		return
 	}
-	switch u.Event {
-	case "heartbeat", "complete", "fail":
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "unknown lease event %q", u.Event)
-		return
-	}
 	ack, err := s.UpdateLease(r.PathValue("id"), u)
-	if err != nil {
+	if err != nil { // only a malformed report errors
 		writeError(w, http.StatusBadRequest, CodeBadRequest, 0, "%v", err)
 		return
 	}

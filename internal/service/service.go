@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"latticesim/internal/core"
 	"latticesim/internal/hardware"
@@ -196,6 +195,10 @@ type BatchJob struct {
 	Points []SweepJob `json:"points"`
 }
 
+// maxGeneratedSize bounds the patch and merge counts of a generated
+// trace workload.
+const maxGeneratedSize = 1 << 16
+
 // maxBatchPoints bounds one batch; campaigns are bounded separately by
 // maxCampaignPoints.
 const maxBatchPoints = 4096
@@ -350,11 +353,6 @@ type resolvedJob struct {
 	units []*resolvedJob
 	batch int
 
-	// timeout bounds each execution attempt (0 = use the server default).
-	// Deliberately absent from canonical: timeouts shape execution, not
-	// results.
-	timeout time.Duration
-
 	// canonical is canonicalHeader()+body; the content key hashes it.
 	// body is kept separately so composite jobs (batch, campaign) can
 	// splice member descriptors without nesting headers.
@@ -436,9 +434,10 @@ func (s JobSpec) resolve() (*resolvedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The timeout rides along in the echo (so clients see what they set)
-	// but never reaches the canonical descriptor or the content key.
-	r.timeout = time.Duration(s.TimeoutMs) * time.Millisecond
+	// The timeout rides along in the echo (so clients see what they set,
+	// and executors read it there) but never reaches the canonical
+	// descriptor or the content key: timeouts shape execution, not
+	// results.
 	r.spec.TimeoutMs = s.TimeoutMs
 	return r, nil
 }
@@ -589,6 +588,12 @@ func resolveTrace(j TraceJob) (*resolvedJob, error) {
 		source = j.Workload
 		if source == "" {
 			source = "factory"
+		}
+		// Generation allocates per patch and per merge before any
+		// admission decision, so an unbounded count would let one request
+		// exhaust the process's memory.
+		if j.Patches > maxGeneratedSize || j.Merges > maxGeneratedSize {
+			return nil, fmt.Errorf("generated workload of %d patches, %d merges exceeds the %d bound", j.Patches, j.Merges, maxGeneratedSize)
 		}
 		prog, err = trace.Generate(j.Workload, j.Patches, j.Merges, hw.CycleNs(), cfg.Seed)
 		if err != nil {

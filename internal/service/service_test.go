@@ -393,6 +393,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: "trace", Trace: &TraceJob{Policies: []string{"Passive"}, TraceText: "PATCH A\nMERGE A\n"}},
 		{Type: "trace", Trace: &TraceJob{Policies: nil, TraceText: testTrace}},
 		{Type: "trace", Trace: &TraceJob{Policies: []string{"Passive"}, Workload: "bursty"}},
+		{Type: "trace", Trace: &TraceJob{Policies: []string{"Passive"}, Workload: "random", Patches: 1 << 17}},
 	}
 	for i, spec := range bad {
 		if _, err := client.Submit(ctx, spec); err == nil {

@@ -18,7 +18,6 @@ package worker
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -263,24 +262,17 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 	}()
 	if hook := w.opts.BeforeExecute; hook != nil {
 		if err := hook(ctx, grant); err != nil {
-			outcome = w.report(ctx, grant, nil, err)
+			outcome = w.report(ctx, grant, nil, service.ReasonError, err)
 			return
 		}
 	}
 	if data, ok, err := w.store.Get(grant.Key); err == nil && ok {
 		w.logf("worker %s: %s already stored, fast-completing %s", w.ID(), grant.Key[:8], grant.LeaseID)
-		outcome = w.report(ctx, grant, data, nil)
+		outcome = w.report(ctx, grant, data, "", nil)
 		return
 	}
 
 	execCtx, cancel := context.WithCancel(ctx)
-	if t := grant.Spec.TimeoutMs; t > 0 {
-		// The coordinator cannot bound a remote attempt's wall time
-		// directly; the node enforces the spec's timeout itself (the
-		// lease expiring would reclaim the unit anyway, but this fails
-		// fast and reports the real reason).
-		execCtx, cancel = context.WithTimeout(ctx, time.Duration(t)*time.Millisecond)
-	}
 	defer cancel()
 
 	// Progress flows through a mailbox the heartbeat loop drains: every
@@ -321,20 +313,17 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 		}
 	}()
 
-	var data []byte
-	var err error
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("panic: %v", p)
-			}
-		}()
-		data, err = service.ExecuteSpecObserved(execCtx, w.cache, grant.Spec, w.opts.MCWorkers, func(p service.Progress) {
+	// The grant's spec carries the coordinator's effective timeout; the
+	// node enforces it itself and reports the real reason, so the
+	// coordinator classifies the outcome exactly as for a local attempt.
+	timeout := time.Duration(grant.Spec.TimeoutMs) * time.Millisecond
+	data, reason, err := service.RunAttempt(execCtx, timeout, func(ctx context.Context) ([]byte, error) {
+		return service.ExecuteSpecObserved(ctx, w.cache, grant.Spec, w.opts.MCWorkers, func(p service.Progress) {
 			pmu.Lock()
 			latest = &p
 			pmu.Unlock()
 		}, w.opts.Metrics)
-	}()
+	})
 	cancel()
 	<-hbDone
 
@@ -356,15 +345,16 @@ func (w *Worker) executeLease(ctx context.Context, grant *service.LeaseGrant) {
 		outcome = "shutdown"
 		return
 	}
-	outcome = w.report(ctx, grant, data, err)
+	outcome = w.report(ctx, grant, data, reason, err)
 }
 
-// report sends the unit's outcome under its lease and returns the
-// outcome label for the unit's span event.
-func (w *Worker) report(ctx context.Context, grant *service.LeaseGrant, data []byte, err error) string {
+// report sends the unit's outcome under its lease — a failure carries
+// RunAttempt's reason — and returns the outcome label for the unit's
+// span event.
+func (w *Worker) report(ctx context.Context, grant *service.LeaseGrant, data []byte, reason string, err error) string {
 	u := service.LeaseUpdate{Event: "complete", Result: data}
 	if err != nil {
-		u = service.LeaseUpdate{Event: "fail", Error: err.Error()}
+		u = service.LeaseUpdate{Event: "fail", Error: err.Error(), Reason: reason}
 	}
 	id := w.ID()
 	ack, uerr := w.client.UpdateLease(ctx, grant.LeaseID, u)

@@ -289,3 +289,88 @@ func TestWorkerStoreFastPath(t *testing.T) {
 		t.Fatalf("integrity_failures = %d, want 0", stats.IntegrityFailures)
 	}
 }
+
+// longSweep is a sweep far longer than any timeout below, so only the
+// attempt's wall-time bound can end it early.
+func longSweep(timeoutMs int64) service.JobSpec {
+	return service.JobSpec{Type: "sweep", TimeoutMs: timeoutMs, Sweep: &service.SweepJob{
+		Policy: "Passive", TauNs: 1000, Shots: 2_000_000, Seed: 9,
+	}}
+}
+
+// runToTerminal submits spec to a coordinator with opts — executed by
+// one remote node when remote is set, else by the local pool — and
+// returns the job's terminal status.
+func runToTerminal(t *testing.T, opts service.Options, spec service.JobSpec, remote bool) service.JobStatus {
+	t.Helper()
+	opts.MCWorkers = 1
+	if remote {
+		opts.Workers = -1
+	}
+	srv, err := service.New(opts)
+	if err != nil {
+		t.Fatalf("service.New: %v", err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer func() {
+		hs.Close()
+		srv.Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if remote {
+		w, err := New(Options{Coordinator: hs.URL, MCWorkers: 1, Poll: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatalf("worker.New: %v", err)
+		}
+		done := make(chan struct{})
+		defer func() {
+			cancel()
+			<-done
+		}()
+		go func() {
+			defer close(done)
+			_ = w.Run(ctx)
+		}()
+	}
+	st, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	fin, ok, err := srv.Watch(ctx, st.ID, nil)
+	if !ok || err != nil {
+		t.Fatalf("Watch(%s): ok=%v err=%v (state %s)", st.ID, ok, err, fin.State)
+	}
+	return fin
+}
+
+// TestExecutorTimeoutParity: the local pool and a remote node bound an
+// attempt identically — a spec timeout, or the server's default when
+// the spec sets none, ends the job failed/timeout after exactly one
+// attempt on either executor.
+func TestExecutorTimeoutParity(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   service.Options
+		spec   service.JobSpec
+		remote bool
+	}{
+		{"local/spec", service.Options{}, longSweep(50), false},
+		{"remote/spec", service.Options{}, longSweep(50), true},
+		{"local/default", service.Options{JobTimeout: 50 * time.Millisecond}, longSweep(0), false},
+		{"remote/default", service.Options{JobTimeout: 50 * time.Millisecond}, longSweep(0), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := runToTerminal(t, tc.opts, tc.spec, tc.remote)
+			if st.State != service.StateFailed || st.StopReason != service.StopReasonTimeout {
+				t.Fatalf("state/stop = %s/%s (%s), want failed/timeout", st.State, st.StopReason, st.Error)
+			}
+			if st.Attempt != 1 || len(st.Failures) != 0 {
+				t.Fatalf("attempt %d, failures %+v; want one attempt and no retries", st.Attempt, st.Failures)
+			}
+			if wantLocal := !tc.remote; (st.Worker == service.WorkerLocal) != wantLocal {
+				t.Fatalf("worker = %q, want local=%v", st.Worker, wantLocal)
+			}
+		})
+	}
+}
